@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint bench-smoke bench-json bench-compare race-smoke sweep-smoke docs-check check
+.PHONY: all build test vet fmt-check lint bench-smoke bench-json bench-compare race-smoke sweep-smoke docs-check perfbench-check check
 
 all: build
 
@@ -101,4 +101,14 @@ docs-check:
 	$(GO) test -run '^Example' -v .
 	$(GO) test -run '^TestDoc' .
 
-check: fmt-check vet lint build test bench-smoke sweep-smoke docs-check
+# perfbench-check vets and compiles the end-to-end benchmark. perfbench
+# is its own module that imports this one (and internal/match) through a
+# replace directive, so nothing above compiles it: a deletion in the root
+# module could otherwise break the gated benchmark unnoticed. It uses
+# perfbench/run.sh's offline environment and writes nothing under
+# perfbench/.
+perfbench-check:
+	cd perfbench && GOPROXY=off GOFLAGS= $(GO) vet ./...
+	cd perfbench && GOPROXY=off GOFLAGS= $(GO) build -o /dev/null .
+
+check: fmt-check vet lint build test bench-smoke sweep-smoke docs-check perfbench-check

@@ -274,29 +274,6 @@ func BenchmarkHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchObserve measures the count-min estimator's per-arrival
-// cost — the hardware-friendly alternative to n^2 exact counters.
-func BenchmarkSketchObserve(b *testing.B) {
-	s := demand.NewSketch(64, 4, 256, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Observe(0, i&63, (i>>6)&63, 12000)
-	}
-}
-
-// BenchmarkSketchSnapshot measures the full-matrix readout.
-func BenchmarkSketchSnapshot(b *testing.B) {
-	s := demand.NewSketch(64, 4, 256, 0)
-	r := rng.New(1)
-	for k := 0; k < 10_000; k++ {
-		s.Observe(0, r.Intn(64), r.Intn(64), 12000)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Snapshot(0)
-	}
-}
-
 // fanoutJobs builds one bundle of independent scenario runs: the same
 // 8-port hybrid switch under eight loads with derived seeds — the shape of
 // work cmd/sweep and cmd/figures fan out across cores.

@@ -23,6 +23,8 @@
 //	{"op":"snapshot"}                   (base64 HSTR checkpoint)
 //	{"op":"subscribe","shard":0,"buffer":64,"policy":"oldest"}
 //
+// subscribe's buffer defaults to 64 frames; a buffer above 65536 gets
+// an error reply and the connection stays in request mode. A successful
 // subscribe switches the connection into a one-way frame stream:
 // {"epoch":..,"shard":..,"match":[..],"pairs":..,"served_bits":..,
 // "backlog_bits":..} per line until the client disconnects.

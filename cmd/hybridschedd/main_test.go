@@ -93,6 +93,38 @@ func (c *client) readFrame() frameJSON {
 	return f
 }
 
+// TestDaemonRejectsHugeSubscribeBuffer sends a subscribe whose buffer
+// would panic make(chan) if it reached the scheduler. The daemon must
+// answer with a JSON error and keep serving the same connection.
+func TestDaemonRejectsHugeSubscribeBuffer(t *testing.T) {
+	d, err := newDaemon(hybridsched.ServiceConfig{Ports: 8, Algorithm: "islip"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cli, srv := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.serveConn(srv)
+	}()
+	c := &client{t: t, conn: cli, r: bufio.NewReader(cli)}
+
+	if _, err := cli.Write([]byte(`{"op":"subscribe","buffer":1125899906842624}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := c.readResponse(); resp.OK || resp.Error == "" {
+		t.Fatalf("oversized subscribe reply = %+v, want an error", resp)
+	}
+	if resp := c.call(request{Op: "stats"}); !resp.OK || len(resp.Stats) != 1 {
+		t.Fatalf("stats after rejected subscribe = %+v", resp)
+	} else if resp.Stats[0].Subscribers != 0 {
+		t.Fatalf("rejected subscribe left %d subscribers", resp.Stats[0].Subscribers)
+	}
+	cli.Close()
+	<-done
+}
+
 func TestDaemonProtocol(t *testing.T) {
 	dial := startDaemon(t, hybridsched.ServiceConfig{
 		Ports: 8, Algorithm: "islip", SlotBits: 1000,

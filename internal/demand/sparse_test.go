@@ -223,7 +223,6 @@ func TestOccupancySinkMatchesPerPairFeed(t *testing.T) {
 	var _ OccupancySink = (*Occupancy)(nil)
 	var _ OccupancySink = (*Window)(nil)
 	var _ OccupancySink = (*EWMA)(nil)
-	var _ OccupancySink = (*Sketch)(nil)
 }
 
 func TestSnapshotsAreCallerOwned(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"hybridsched/internal/demand"
-	"hybridsched/internal/runner/pool"
 )
 
 // This file is the frame-decomposition engine: the word-parallel,
@@ -60,12 +59,6 @@ import (
 //     threshold for the same extraction step resolves an unchanged
 //     threshold in two probes instead of log2(distinct values), and
 //     cannot change the result.
-//
-// The per-frame threshold search also fans its feasibility probes out
-// over a deterministic worker pool (SetPool): probes are independent
-// matching extractions against a read-only working matrix, merged in
-// submission order, so the narrowed interval — and therefore the chosen
-// threshold — is identical on one worker or sixty-four.
 
 // kframe is one frame of the explicit augmenting-path stack: the row
 // being augmented, the candidate column currently tried, and where the
@@ -154,11 +147,6 @@ type Decomposer struct {
 	cur  int
 
 	seedThr int64 // warm threshold seed for the next bestThreshold call
-
-	par      *pool.Pool
-	parScr   []*Decomposer // per-worker probe scratch
-	parFeas  []bool
-	parProbe []int
 }
 
 // NewDecomposer returns a decomposition engine for n-port matrices.
@@ -178,35 +166,6 @@ func newDecomposer(n int) *Decomposer {
 		out:      NewMatching(n),
 	}
 }
-
-// SetPool installs a deterministic worker pool for the max-min threshold
-// search: feasibility probes (independent perfect-matching extractions
-// against the read-only working matrix) fan out over the pool's workers
-// and merge in submission order, so results are identical to the serial
-// search. A nil pool (the default) keeps the search serial and the
-// decomposition allocation-free in steady state; the parallel path keeps
-// per-worker Kuhn scratch but pays pool-dispatch allocations per round.
-func (dc *Decomposer) SetPool(p *pool.Pool) {
-	dc.par = p
-	dc.parScr = nil
-	if p != nil && p.Workers() > 1 {
-		w := p.Workers()
-		if w > maxProbeFan {
-			w = maxProbeFan
-		}
-		dc.parScr = make([]*Decomposer, w)
-		for i := range dc.parScr {
-			dc.parScr[i] = newDecomposer(dc.n)
-		}
-		dc.parFeas = make([]bool, w)
-		dc.parProbe = make([]int, 0, w)
-	}
-}
-
-// maxProbeFan bounds the threshold-search fan-out: past a handful of
-// simultaneous probes the search interval collapses faster than workers
-// can be fed.
-const maxProbeFan = 8
 
 // Reset discards the warm cache: the next decomposition runs cold. The
 // output contract is unaffected (warm equals cold bit for bit); Reset
@@ -617,8 +576,8 @@ func (dc *Decomposer) feasible(d *demand.Matrix, thr int64) bool {
 // bestThreshold returns the largest t such that the edges {(i,j) :
 // work(i,j) >= t} admit a perfect matching, or 0 if none does. The
 // predicate is monotone (feasible below, infeasible above), so the
-// result is independent of probe order; the warm seed and the parallel
-// multi-pivot rounds only change which probes run, never the answer.
+// result is independent of probe order; the warm seed only changes which
+// probes run, never the answer.
 func (dc *Decomposer) bestThreshold(work *demand.Matrix) int64 {
 	n := work.N()
 	vals := dc.vals[:0]
@@ -649,10 +608,6 @@ func (dc *Decomposer) bestThreshold(work *demand.Matrix) int64 {
 		}
 	}
 	for lo <= hi {
-		if len(dc.parScr) > 1 && hi-lo >= 3 {
-			lo, hi, best = dc.probeRound(work, vals, lo, hi, best)
-			continue
-		}
 		mid := (lo + hi) / 2
 		if dc.feasible(work, vals[mid]) {
 			best = vals[mid]
@@ -662,47 +617,6 @@ func (dc *Decomposer) bestThreshold(work *demand.Matrix) int64 {
 		}
 	}
 	return best
-}
-
-// probeRound evaluates up to len(parScr) evenly spaced pivots of
-// vals[lo..hi] concurrently and narrows the interval around the
-// feasibility boundary. The predicate is monotone, so the largest
-// feasible pivot and the smallest infeasible pivot bracket the answer
-// exactly as a sequence of serial probes would.
-func (dc *Decomposer) probeRound(work *demand.Matrix, vals []int64, lo, hi int, best int64) (int, int, int64) {
-	span := hi - lo + 1
-	w := len(dc.parScr)
-	probes := dc.parProbe[:0]
-	for k := 1; k <= w; k++ {
-		p := lo + span*k/(w+1)
-		if p > hi {
-			p = hi
-		}
-		if len(probes) == 0 || probes[len(probes)-1] != p {
-			probes = append(probes, p)
-		}
-	}
-	dc.parProbe = probes
-	feas := dc.parFeas[:len(probes)]
-	scr := dc.parScr
-	err := pool.MapInto(dc.par, len(probes), feas, func(pi int) (bool, error) {
-		return scr[pi].feasible(work, vals[probes[pi]]), nil
-	})
-	_ = err // probe fn never fails
-	for pi := len(probes) - 1; pi >= 0; pi-- {
-		if feas[pi] {
-			best = vals[probes[pi]]
-			lo = probes[pi] + 1
-			break
-		}
-	}
-	for pi := 0; pi < len(probes); pi++ {
-		if !feas[pi] {
-			hi = probes[pi] - 1
-			break
-		}
-	}
-	return lo, hi, best
 }
 
 // stuffInto rebuilds dc.work as d padded so every line sums to the max

@@ -7,14 +7,13 @@ import (
 
 	"hybridsched/internal/demand"
 	"hybridsched/internal/rng"
-	"hybridsched/internal/runner/pool"
 )
 
 // Tests for the frame-decomposition engine (decompose.go): lineage
 // equivalence against the preserved sparse and dense references, the
 // warm-equals-cold contract of every warm-start mechanism, compute-ahead
-// transparency, parallel-threshold-search determinism, and the
-// steady-state allocation pin the hot-path annotations promise.
+// transparency, and the steady-state allocation pin the hot-path
+// annotations promise.
 
 // slotsEqual fails the test unless the two slot sequences match exactly
 // — same length, same matchings, same weights, in order.
@@ -186,33 +185,6 @@ func TestDecomposerSlotLifetime(t *testing.T) {
 	want := cloneSlots(first, n)
 	dc.BvN(d2) // must not disturb first's storage
 	slotsEqual(t, "slots after one subsequent decomposition", first, want)
-}
-
-// TestParallelThresholdSearchEquivalence: installing a worker pool fans
-// the max-min threshold probes out but must not change a single slot,
-// weight or residual cell relative to the serial search.
-func TestParallelThresholdSearchEquivalence(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
-		p := pool.New(workers)
-		for _, n := range []int{16, 64, 128} {
-			r := rng.New(uint64(n*workers) * 13)
-			par := NewDecomposer(n)
-			par.SetPool(p)
-			ser := NewDecomposer(n)
-			d := sparseFrameDemand(r, n, 5, 500)
-			for epoch := 0; epoch < 4; epoch++ {
-				label := fmt.Sprintf("workers=%d n=%d epoch=%d", workers, n, epoch)
-				minWorth := d.MaxLineSum() / 16
-				gotSlots, gotRes := par.MaxMin(d, minWorth)
-				wantSlots, wantRes := ser.MaxMin(d, minWorth)
-				slotsEqual(t, label, gotSlots, wantSlots)
-				matricesEqual(t, label+" residual", gotRes, wantRes)
-				gotRes.Release()
-				wantRes.Release()
-				mutateDemand(r, d)
-			}
-		}
-	}
 }
 
 // TestComputeAheadEquivalence: a frame scheduler with the background

@@ -332,6 +332,13 @@ func init() {
 	Register("islip1", func(n int, _ uint64) Algorithm {
 		return NewISLIP(n, 1)
 	})
+	// islipn runs n iterations — the "fully converged" upper bound used
+	// by the iteration-count ablation (A2). McKeown showed log2(n)
+	// iterations capture almost all of the benefit; registering the
+	// extreme makes that measurable here.
+	Register("islipn", func(n int, _ uint64) Algorithm {
+		return NewISLIP(n, n)
+	})
 }
 
 func log2ceil(n int) int {

@@ -16,10 +16,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 
 	"hybridsched/internal/fabric"
 	"hybridsched/internal/rng"
-	"hybridsched/internal/runner/pool"
 	"hybridsched/internal/sim"
 	"hybridsched/internal/trace"
 	"hybridsched/internal/traffic"
@@ -33,27 +34,67 @@ import (
 const DefaultDrain = 0.5
 
 // Pool is a fixed-size worker pool. It holds no state between calls; the
-// same Pool may be used concurrently and reused freely. The pool core
-// lives in internal/runner/pool so leaf packages (the matching kernels)
-// can share the deterministic Map without importing the scenario engine;
-// this struct embeds it and layers the scenario API on top.
+// same Pool may be used concurrently and reused freely.
 type Pool struct {
-	pool.Pool
+	workers int
 }
 
 // New returns a pool with the given worker count. A count of zero or less
 // selects GOMAXPROCS — the whole point of the engine is to keep every core
 // busy with independent simulations.
 func New(workers int) *Pool {
-	return &Pool{Pool: *pool.New(workers)}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return &Pool{workers: workers}
 }
+
+// Workers returns the pool's worker count.
+func (p *Pool) Workers() int { return p.workers }
 
 // Map runs fn(i) for every i in [0, n) on p's workers and returns the
 // results in index order. All jobs run to completion even when some fail;
 // the returned error is the failure with the lowest index, so error
 // reporting is as deterministic as the results themselves.
 func Map[T any](p *Pool, n int, fn func(int) (T, error)) ([]T, error) {
-	return pool.Map(&p.Pool, n, fn)
+	results := make([]T, n)
+	errs := make([]error, n)
+	if n == 0 {
+		return results, nil
+	}
+	workers := p.workers
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		// Serial fast path: no goroutines, same submission order.
+		for i := 0; i < n; i++ {
+			results[i], errs[i] = fn(i)
+		}
+	} else {
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := range jobs {
+					results[i], errs[i] = fn(i)
+				}
+			}()
+		}
+		for i := 0; i < n; i++ {
+			jobs <- i
+		}
+		close(jobs)
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return results, err
+		}
+	}
+	return results, nil
 }
 
 // Job is one self-contained simulation: a fabric configuration, a workload,

@@ -411,10 +411,9 @@ func (s *Scheduler) step() (Frame, error) {
 	return f, nil
 }
 
-// schedule runs the matching algorithm on one snapshot — the single
-// entry point both the sequential step and the pipeline's match stage
-// use. For frame decomposition algorithms with instrumentation enabled
-// it attributes decomposition work: when the Schedule call computed one
+// schedule runs the matching algorithm on one snapshot for step. For
+// frame decomposition algorithms with instrumentation enabled it
+// attributes decomposition work: when the Schedule call computed one
 // or more frames (a refill, speculative or synchronous), the call's
 // latency lands in the frame-decompose histogram and the frame counter
 // advances. Pure playback epochs record nothing. Recording is atomic
@@ -563,12 +562,25 @@ type Subscription struct {
 	closed  bool // guarded by s.subMu
 }
 
+// maxSubscribeBuffer caps a subscription's buffer depth. The buffer is
+// allocated up front, so an unchecked depth from a remote client could
+// exhaust memory or panic make; 1<<16 frames is far more lag than any
+// drop policy needs to absorb.
+const maxSubscribeBuffer = 1 << 16
+
+// errSubscribeBuffer is wrapped by Subscribe's rejection of an oversized
+// buffer.
+var errSubscribeBuffer = errors.New("serve: subscription buffer too large")
+
 // Subscribe registers a frame stream with the given buffer depth
-// (minimum 1) and drop policy. The scheduler never blocks on a slow
-// subscriber: when the buffer is full the policy decides which frame is
-// dropped, and Dropped counts the casualties. The channel is closed by
-// Subscription.Close or Scheduler.Close.
+// (minimum 1, maximum 65536 frames) and drop policy. The scheduler never
+// blocks on a slow subscriber: when the buffer is full the policy
+// decides which frame is dropped, and Dropped counts the casualties. The
+// channel is closed by Subscription.Close or Scheduler.Close.
 func (s *Scheduler) Subscribe(buffer int, policy DropPolicy) (*Subscription, error) {
+	if buffer > maxSubscribeBuffer {
+		return nil, fmt.Errorf("%w: %d frames, cap %d", errSubscribeBuffer, buffer, maxSubscribeBuffer)
+	}
 	if buffer < 1 {
 		buffer = 1
 	}

@@ -226,6 +226,45 @@ func TestClose(t *testing.T) {
 	sub.Close() // closing an already-closed subscription is fine
 }
 
+// TestSubscribeBufferBounds pins Subscribe's buffer contract: depths
+// below 1 round up to 1, depths up to the cap are honoured, and anything
+// larger is rejected with an error instead of reaching make — where a
+// remote client's 1<<50 would panic the whole process.
+func TestSubscribeBufferBounds(t *testing.T) {
+	s := newTestScheduler(t, Config{Ports: 4, Algorithm: "islip"})
+	for _, tc := range []struct {
+		buffer, wantCap int
+	}{
+		{0, 1},
+		{1, 1},
+		{maxSubscribeBuffer, maxSubscribeBuffer},
+		{maxSubscribeBuffer + 1, 0},
+		{1 << 50, 0},
+	} {
+		sub, err := s.Subscribe(tc.buffer, DropOldest)
+		if tc.wantCap == 0 {
+			if !errors.Is(err, errSubscribeBuffer) {
+				t.Errorf("Subscribe(%d) = %v, want an errSubscribeBuffer error", tc.buffer, err)
+			}
+			if sub != nil {
+				t.Errorf("Subscribe(%d) returned a subscription alongside its error", tc.buffer)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Subscribe(%d): %v", tc.buffer, err)
+			continue
+		}
+		if got := cap(sub.ch); got != tc.wantCap {
+			t.Errorf("Subscribe(%d) buffer = %d, want %d", tc.buffer, got, tc.wantCap)
+		}
+		sub.Close()
+	}
+	if st := s.Stats(); st.Subscribers != 0 {
+		t.Fatalf("%d subscribers left registered, want 0", st.Subscribers)
+	}
+}
+
 func TestRunContext(t *testing.T) {
 	s := newTestScheduler(t, Config{Ports: 4, Algorithm: "islip"})
 	s.Offer(0, 1, 1e6)

@@ -231,8 +231,9 @@ func (s *Service) Run(ctx context.Context, interval time.Duration) error {
 
 // Subscribe opens a bounded frame stream from one shard. The service
 // never blocks on a slow subscriber: when the buffer is full the policy
-// decides which frame drops, and Subscription.Dropped counts them. Close
-// the subscription (or the service) to release it.
+// decides which frame drops, and Subscription.Dropped counts them. A
+// buffer above 65536 frames is rejected. Close the subscription (or the
+// service) to release it.
 func (s *Service) Subscribe(shard, buffer int, policy FrameDropPolicy) (*ServiceSubscription, error) {
 	if shard < 0 || shard >= s.sh.Shards() {
 		return nil, fmt.Errorf("hybridsched: shard %d outside [0,%d)", shard, s.sh.Shards())
