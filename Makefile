@@ -38,10 +38,10 @@ fmt-check:
 # capture/replay injection path, the matching benchmarks
 # (BenchmarkMatch*, at up to 512 ports) the scheduling core's
 # nonzero-iteration hot path, and the serve benchmarks the online
-# service's allocation-free epoch loop.
+# service's allocation-free epoch loop and its per-offer ingest cost.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventQueue|BenchmarkObserverStream|BenchmarkEmpiricalSampler|BenchmarkTraceReplay|BenchmarkMatch|BenchmarkServiceEpoch' -benchtime 0.1s .
-	$(GO) test -run '^$$' -bench 'BenchmarkServeEpoch' -benchtime 0.1s ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkServeEpoch|BenchmarkServeOffer' -benchtime 0.1s ./internal/serve
 
 # bench-json records the scheduling-core performance trajectory: it runs
 # the matching and frame-decomposition benchmark set with -benchmem and
@@ -49,7 +49,7 @@ bench-smoke:
 # benchmark). The committed file is the baseline future PRs diff against.
 # Ten repetitions per benchmark: benchjson collapses them to the
 # per-metric minimum (best observed steady state), which keeps the slow
-# n=512 entries stable enough for the 20% bench-compare gate on noisy
+# n=512 entries stable enough for the 40% bench-compare gate on noisy
 # machines.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatch$$|BenchmarkFrameDecompose$$' -benchmem -benchtime 0.1s -count 10 . | $(GO) run ./cmd/benchjson -o BENCH_core.json
@@ -74,8 +74,9 @@ bench-compare:
 # (TestFlowWorkloadParallelDeterminism), the golden-trace replays at
 # several worker counts, the 256-port fabric scenario
 # (TestScale256PortScenario), and the online scheduling service —
-# streaming ingest, subscriptions, the sharded step fan-out, and the
-# 10k-epoch live-workload run (TestServeLive10kEpochs) — plus the
+# streaming ingest, subscriptions, the sharded step fan-out, producers
+# racing Step/Stats/Snapshot (TestConcurrentIngestStepStatsSnapshot),
+# and the 10k-epoch live-workload run (TestServeLive10kEpochs) — plus the
 # JSON-lines daemon serving it.
 # internal/analysis rides along so the analyzer suite (whose loader
 # shells out to the go tool and type-checks concurrently loaded

@@ -21,14 +21,16 @@ import (
 	"go/types"
 )
 
-// poolAcquirers maps the package path of the pooled-matrix vocabulary to
-// the functions and methods whose result the caller owns.
+// poolAcquirers maps the package path of the pooled-matrix vocabulary
+// (matrices and ingest inboxes) to the functions and methods whose result
+// the caller owns.
 var poolAcquirers = map[string]map[string]bool{
 	"hybridsched/internal/demand": {
-		"FromPool": true, // func FromPool(n int) *Matrix
-		"Clone":    true, // (*Matrix).Clone
-		"Quantize": true, // (*Matrix).Quantize
-		"Stuff":    true, // (*Matrix).Stuff
+		"FromPool":      true, // func FromPool(n int) *Matrix
+		"InboxFromPool": true, // func InboxFromPool(n int) *Inbox
+		"Clone":         true, // (*Matrix).Clone
+		"Quantize":      true, // (*Matrix).Quantize
+		"Stuff":         true, // (*Matrix).Stuff
 	},
 }
 
@@ -190,7 +192,7 @@ func checkPoolBody(pass *Pass, info *types.Info, fn *ast.FuncDecl) {
 		})
 		if !released && !escaped {
 			pass.Reportf(a.call.Pos(),
-				"%s acquired from the matrix pool is never Released and never handed to another owner",
+				"%s acquired from a demand pool is never Released and never handed to another owner",
 				a.id.Name)
 		}
 	}

@@ -18,6 +18,18 @@ func (m *Matrix) Quantize(q int64) *Matrix { return &Matrix{n: m.n} }
 // Stuff leases a pooled doubly-stochastic completion of m.
 func (m *Matrix) Stuff() *Matrix { return &Matrix{n: m.n} }
 
+// Inbox is a pooled ingest inbox.
+type Inbox struct{ n int }
+
+// InboxFromPool leases an inbox from the per-size pool.
+func InboxFromPool(n int) *Inbox { return &Inbox{n: n} }
+
+// Release returns b to the pool.
+func (b *Inbox) Release() {}
+
+// Add accumulates demand on one cell.
+func (b *Inbox) Add(i, j int, bits int64) {}
+
 // Release returns m to the pool.
 func (m *Matrix) Release() {}
 

@@ -7,8 +7,21 @@ import "hybridsched/internal/demand"
 
 // Leak acquires a pooled matrix, uses it locally, and drops it.
 func Leak(n int) {
-	m := demand.FromPool(n) // want `m acquired from the matrix pool is never Released and never handed to another owner`
+	m := demand.FromPool(n) // want `m acquired from a demand pool is never Released and never handed to another owner`
 	m.Total()
+}
+
+// LeakInbox acquires a pooled inbox and drops it.
+func LeakInbox(n int) {
+	b := demand.InboxFromPool(n) // want `b acquired from a demand pool is never Released and never handed to another owner`
+	b.Add(0, 1, 1)
+}
+
+// PairedInbox acquires an inbox, uses it, and Releases it: clean.
+func PairedInbox(n int) {
+	b := demand.InboxFromPool(n)
+	b.Add(0, 1, 1)
+	b.Release()
 }
 
 // Peek discards an unbound pooled clone in place.

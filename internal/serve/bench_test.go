@@ -19,7 +19,7 @@ func benchOffer(b *testing.B, s *Scheduler, n int) {
 }
 
 // BenchmarkServeEpoch prices one epoch of the online scheduling loop —
-// offer refill, snapshot copy, matching, demand drain — with no
+// offer refill, inbox fold, matching, demand drain — with no
 // subscribers attached. The per-slot arbiters are allocation-free on
 // this path at fabric port counts (the acceptance bar for the serve
 // subsystem); run with -benchmem to see it.
@@ -32,7 +32,7 @@ func BenchmarkServeEpoch(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer s.Close()
-				// Warm the pooled matrices and algorithm scratch.
+				// Warm the pooled demand state and algorithm scratch.
 				benchOffer(b, s, n)
 				if _, err := s.Step(); err != nil {
 					b.Fatal(err)
@@ -74,6 +74,43 @@ func BenchmarkServeEpochSubscribed(b *testing.B) {
 		benchOffer(b, s, n)
 		if _, err := s.Step(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeOffer prices one streaming Offer at n=512 — the ingest
+// rung beside BenchmarkServeEpoch. Offers cycle over the same sparse
+// pattern (~8 peers per port); every full pass over the pattern is
+// followed by an untimed Step, so the inbox sees the per-epoch mix of
+// first touches and repeat touches a live service does.
+func BenchmarkServeOffer(b *testing.B) {
+	const n, peers = 512, 8
+	s, err := New(Config{Ports: n, Algorithm: "islip", SlotBits: 1500 * 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	benchOffer(b, s, n)
+	if _, err := s.Step(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	src, k := 0, 1
+	for i := 0; i < b.N; i++ {
+		if err := s.Offer(src, (src+k*7)%n, 1500*8); err != nil {
+			b.Fatal(err)
+		}
+		if k++; k > peers {
+			k = 1
+			if src++; src == n {
+				src = 0
+				b.StopTimer()
+				if _, err := s.Step(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
 		}
 	}
 }

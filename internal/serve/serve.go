@@ -8,10 +8,15 @@
 // frames stream to any number of subscribers over bounded channels with
 // an explicit drop policy.
 //
-// The epoch hot path rides the sparse demand core: the pending matrix and
-// its per-epoch snapshot are pooled demand.Matrix values, the algorithm
-// reuses its per-instance scratch, and publishing is skipped when nobody
-// subscribes — one epoch at fabric port counts is allocation-free in
+// Ingest and scheduling meet at one fold per epoch. An offer is an O(1)
+// update to a pooled demand.Inbox under the demand mutex. Each epoch
+// folds the inbox into the scheduler's one demand.Matrix, then runs the
+// algorithm and the drain on that matrix in place, outside the demand
+// mutex: producers wait only for the O(touched cells) fold, never for a
+// copy of the backlog. Offers that arrive while the algorithm runs land
+// in the inbox and are scheduled next epoch. With the algorithm reusing
+// its per-instance scratch and publishing skipped when nobody
+// subscribes, one epoch at fabric port counts is allocation-free in
 // steady state for the per-slot arbiters (BenchmarkServeEpoch).
 //
 // Scheduler state checkpoints through the existing HSTR trace machinery
@@ -24,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +46,12 @@ const DefaultSlotBits int64 = 1500 * 8
 
 // ErrClosed is returned by operations on a closed Scheduler.
 var ErrClosed = errors.New("serve: scheduler is closed")
+
+// ErrOverflow is wrapped by the rejection of an offer (or a restored
+// checkpoint) that would push the pending backlog past math.MaxInt64
+// bits. Bounding the backlog bounds every demand cell, row, column and
+// total, so demand arithmetic never wraps.
+var ErrOverflow = errors.New("serve: demand would overflow the backlog")
 
 // Source feeds the scheduler live demand. Advance is called once at the
 // start of every epoch, on the stepping goroutine, and reports one
@@ -163,8 +175,12 @@ type Scheduler struct {
 	// type switch. Nil for per-slot arbiters.
 	framer interface{ Frames() int64 }
 
-	mu      sync.Mutex // guards pending and closed
-	pending *demand.Matrix
+	// Lock order is stepMu then mu, everywhere; Offer takes only mu.
+	mu      sync.Mutex // guards inbox, the bit counters and closed
+	inbox   *demand.Inbox
+	offered int64 // bits ever offered (a restore restarts it at the backlog)
+	served  int64 // bits ever drained (a restore restarts it at zero)
+	backlog int64 // offered minus served: the inbox plus cur
 	closed  bool
 
 	// sourceOffer is offerFromSource bound once at construction, so the
@@ -172,13 +188,11 @@ type Scheduler struct {
 	// closure per step.
 	sourceOffer func(src, dst int, bits int64)
 
-	stepMu sync.Mutex // serializes epochs
-	snap   *demand.Matrix
+	stepMu sync.Mutex     // serializes epochs and guards cur
+	cur    *demand.Matrix // folded demand the algorithm and drain work on
 
-	epochs  atomic.Uint64
-	idle    atomic.Uint64
-	offered atomic.Int64
-	served  atomic.Int64
+	epochs atomic.Uint64
+	idle   atomic.Uint64
 
 	subMu   sync.Mutex
 	subs    []*Subscription
@@ -198,12 +212,12 @@ func New(cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	s := &Scheduler{
-		cfg:     cfg,
-		shard:   cfg.Shard,
-		alg:     alg,
-		pending: demand.FromPool(cfg.Ports),
-		snap:    demand.FromPool(cfg.Ports),
-		done:    make(chan struct{}),
+		cfg:   cfg,
+		shard: cfg.Shard,
+		alg:   alg,
+		inbox: demand.InboxFromPool(cfg.Ports),
+		cur:   demand.FromPool(cfg.Ports),
+		done:  make(chan struct{}),
 	}
 	if cfg.Metrics != nil {
 		s.ins = newInstruments(cfg.Metrics, cfg.Shard)
@@ -227,8 +241,10 @@ func (s *Scheduler) Ports() int { return s.cfg.Ports }
 func (s *Scheduler) Epoch() uint64 { return s.epochs.Load() }
 
 // Offer adds bits of pending demand from src to dst — the streaming
-// ingest path. It is cheap (one sparse matrix update under a mutex) and
-// safe to call from any number of goroutines.
+// ingest path. It is cheap (one inbox cell update under a mutex) and
+// safe to call from any number of goroutines. An offer that would push
+// the backlog past math.MaxInt64 bits is rejected with an error wrapping
+// ErrOverflow.
 func (s *Scheduler) Offer(src, dst int, bits int64) error {
 	if src < 0 || src >= s.cfg.Ports || dst < 0 || dst >= s.cfg.Ports {
 		return fmt.Errorf("serve: offer (%d->%d) outside the %d-port fabric", src, dst, s.cfg.Ports)
@@ -244,18 +260,20 @@ func (s *Scheduler) Offer(src, dst int, bits int64) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.pending.Add(src, dst, bits)
-	s.offered.Add(bits)
-	if s.ins != nil {
-		s.ins.observeOffer(bits)
+	if bits > math.MaxInt64-s.backlog {
+		return fmt.Errorf("%w: offer (%d->%d) of %d bits on a backlog of %d",
+			ErrOverflow, src, dst, bits, s.backlog)
 	}
+	s.offerLocked(src, dst, bits)
 	return nil
 }
 
 // OfferRecords ingests a batch of HSTR trace records as demand — the
 // bridge from captured workloads to the live service. Record times are
 // ignored (the service is open-loop); sizes accumulate as offered bits.
-// Records are validated first, so a failed batch offers nothing.
+// Records are validated first, so a failed batch offers nothing; a batch
+// that would push the backlog past math.MaxInt64 bits fails with an error
+// wrapping ErrOverflow.
 func (s *Scheduler) OfferRecords(recs []trace.Record) error {
 	for i, r := range recs {
 		if int(r.Src) >= s.cfg.Ports || int(r.Dst) >= s.cfg.Ports {
@@ -270,15 +288,24 @@ func (s *Scheduler) OfferRecords(recs []trace.Record) error {
 	}
 	var total int64
 	var n uint64
-	for _, r := range recs {
+	for i, r := range recs {
 		if r.Src == r.Dst {
 			continue
 		}
-		s.pending.Add(int(r.Src), int(r.Dst), int64(r.Size))
+		if int64(r.Size) > math.MaxInt64-s.backlog-total {
+			return fmt.Errorf("%w: record %d of %d bits on a backlog of %d",
+				ErrOverflow, i, r.Size, s.backlog+total)
+		}
 		total += int64(r.Size)
 		n++
 	}
-	s.offered.Add(total)
+	for _, r := range recs {
+		if r.Src != r.Dst {
+			s.inbox.Add(int(r.Src), int(r.Dst), int64(r.Size))
+		}
+	}
+	s.offered += total
+	s.backlog += total
 	if s.ins != nil {
 		s.ins.offers.Add(n)
 		s.ins.offeredBits.Add(uint64(total))
@@ -286,39 +313,43 @@ func (s *Scheduler) OfferRecords(recs []trace.Record) error {
 	return nil
 }
 
-// offerLocked is the Source ingest path: called on the stepping goroutine
-// with s.mu already held, bounds pre-checked by the matrix itself.
+// offerLocked records one validated, positive, in-range offer that fits
+// the backlog; the caller holds s.mu.
 func (s *Scheduler) offerLocked(src, dst int, bits int64) {
-	if bits <= 0 || src == dst ||
-		src < 0 || src >= s.cfg.Ports || dst < 0 || dst >= s.cfg.Ports {
-		return
-	}
-	s.pending.Add(src, dst, bits)
-	s.offered.Add(bits)
+	s.inbox.Add(src, dst, bits)
+	s.offered += bits
+	s.backlog += bits
 	if s.ins != nil {
 		s.ins.observeOffer(bits)
 	}
 }
 
-// offerFromSource ingests one Source-generated offer under the demand
-// lock. It is the target of the prebound sourceOffer field.
+// offerFromSource is the Source ingest path, the target of the prebound
+// sourceOffer field. Source.Advance has no error return, so an offer that
+// is out of range, non-positive, or would overflow the backlog is
+// dropped.
 //
 //hybridsched:hotpath
 func (s *Scheduler) offerFromSource(src, dst int, bits int64) {
+	if bits <= 0 || src == dst ||
+		src < 0 || src >= s.cfg.Ports || dst < 0 || dst >= s.cfg.Ports {
+		return
+	}
 	s.mu.Lock()
-	if !s.closed {
+	if !s.closed && bits <= math.MaxInt64-s.backlog {
 		s.offerLocked(src, dst, bits)
 	}
 	s.mu.Unlock()
 }
 
-// Step runs one epoch synchronously: advance the Source (if any),
-// snapshot pending demand, run the algorithm, drain what the matching
-// serves, and publish the frame to subscribers. The returned Frame's
-// Match shares the algorithm's scratch and is valid until the next Step;
-// use StepOwned (or Clone it before another Step can run) to keep it.
-// Step is the deterministic way to drive the service (tests, replay);
-// Run wraps it in a wall-clock loop.
+// Step runs one epoch synchronously: advance the Source (if any), fold
+// the offers received since the last epoch into the demand matrix, run
+// the algorithm, drain what the matching serves, and publish the frame
+// to subscribers. The returned Frame's Match shares the algorithm's
+// scratch and is valid until the next Step; use StepOwned (or Clone it
+// before another Step can run) to keep it. Step is the deterministic way
+// to drive the service (tests, replay); Run wraps it in a wall-clock
+// loop.
 //
 //hybridsched:hotpath
 func (s *Scheduler) Step() (Frame, error) {
@@ -359,39 +390,41 @@ func (s *Scheduler) step() (Frame, error) {
 		s.mu.Unlock()
 		return Frame{}, ErrClosed
 	}
-	s.snap.CopyFrom(s.pending)
+	s.inbox.FoldInto(s.cur)
 	s.mu.Unlock()
 
-	m := s.schedule(s.snap)
+	// cur belongs to this goroutine until the next fold: the algorithm
+	// borrows it for the call, and the drain updates it in place. Offers
+	// that arrive meanwhile wait in the inbox for the next epoch.
+	m := s.schedule(s.cur)
 
-	// Drain served demand from the live matrix. Offers since the snapshot
-	// only add, and this is the only subtractor, so pending >= snap holds
-	// for every pair being drained.
 	var servedBits int64
 	var pairs int
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return Frame{}, ErrClosed
-	}
 	for in, out := range m {
 		if out == match.Unmatched {
 			continue
 		}
 		pairs++
-		take := s.snap.At(in, out)
+		take := s.cur.At(in, out)
 		if take > s.cfg.SlotBits {
 			take = s.cfg.SlotBits
 		}
 		if take > 0 {
-			s.pending.Add(in, out, -take)
+			s.cur.Add(in, out, -take)
 			servedBits += take
 		}
 	}
-	backlog := s.pending.Total()
+
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return Frame{}, ErrClosed
+	}
+	s.served += servedBits
+	s.backlog -= servedBits
+	backlog := s.backlog
 	s.mu.Unlock()
 
-	s.served.Add(servedBits)
 	epoch := s.epochs.Add(1)
 	if pairs == 0 {
 		s.idle.Add(1)
@@ -411,7 +444,7 @@ func (s *Scheduler) step() (Frame, error) {
 	return f, nil
 }
 
-// schedule runs the matching algorithm on one snapshot for step. For
+// schedule runs the matching algorithm on the folded demand for step. For
 // frame decomposition algorithms with instrumentation enabled it
 // attributes decomposition work: when the Schedule call computed one
 // or more frames (a refill, speculative or synchronous), the call's
@@ -420,13 +453,13 @@ func (s *Scheduler) step() (Frame, error) {
 // updates on pre-registered instruments — allocation-free.
 //
 //hybridsched:hotpath
-func (s *Scheduler) schedule(snap *demand.Matrix) match.Matching {
+func (s *Scheduler) schedule(d *demand.Matrix) match.Matching {
 	if s.ins == nil || s.framer == nil {
-		return s.alg.Schedule(snap)
+		return s.alg.Schedule(d)
 	}
 	before := s.framer.Frames()
 	t0 := stepStart()
-	m := s.alg.Schedule(snap)
+	m := s.alg.Schedule(d)
 	if computed := s.framer.Frames() - before; computed > 0 {
 		s.ins.observeFrames(stepElapsed(t0), computed)
 	}
@@ -437,9 +470,21 @@ func (s *Scheduler) schedule(snap *demand.Matrix) match.Matching {
 // canceled or the scheduler is closed. It returns ctx.Err() on
 // cancellation and nil when stopped by Close. Wall-clock pacing is Run's
 // whole contract — determinism lives in Step, which Run merely paces.
+func (s *Scheduler) Run(ctx context.Context, interval time.Duration) error {
+	return runTicks(ctx, interval, s.done, func() error {
+		_, err := s.Step()
+		return err
+	})
+}
+
+// runTicks calls step once per interval tick of wall-clock time until ctx
+// is canceled, done is closed, or step fails. It returns ctx.Err() on
+// cancellation and nil when stopped by done or by a step reporting
+// ErrClosed. It is the one wall-clock loop behind Scheduler.Run and
+// Sharded.Run.
 //
 //hybridsched:wallclock
-func (s *Scheduler) Run(ctx context.Context, interval time.Duration) error {
+func runTicks(ctx context.Context, interval time.Duration, done <-chan struct{}, step func() error) error {
 	if interval <= 0 {
 		return fmt.Errorf("serve: Run interval must be positive, have %v", interval)
 	}
@@ -449,10 +494,10 @@ func (s *Scheduler) Run(ctx context.Context, interval time.Duration) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-s.done:
+		case <-done:
 			return nil
 		case <-tick.C:
-			if _, err := s.Step(); err != nil {
+			if err := step(); err != nil {
 				if errors.Is(err, ErrClosed) {
 					return nil
 				}
@@ -462,12 +507,14 @@ func (s *Scheduler) Run(ctx context.Context, interval time.Duration) error {
 	}
 }
 
-// Stats returns a point-in-time activity summary.
+// Stats returns a point-in-time activity summary. OfferedBits, ServedBits
+// and BacklogBits are one consistent cut: offered equals served plus
+// backlog.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
-	backlog := int64(0)
-	if !s.closed {
-		backlog = s.pending.Total()
+	offered, served, backlog := s.offered, s.served, s.backlog
+	if s.closed {
+		backlog = 0
 	}
 	s.mu.Unlock()
 	s.subMu.Lock()
@@ -476,8 +523,8 @@ func (s *Scheduler) Stats() Stats {
 	st := Stats{
 		Epochs:      s.epochs.Load(),
 		IdleEpochs:  s.idle.Load(),
-		OfferedBits: s.offered.Load(),
-		ServedBits:  s.served.Load(),
+		OfferedBits: offered,
+		ServedBits:  served,
 		BacklogBits: backlog,
 		Subscribers: subs,
 		Dropped:     s.dropped.Load(),
@@ -493,7 +540,7 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// Close stops the scheduler: pending demand returns to the matrix pool,
+// Close stops the scheduler: pending demand returns to the demand pools,
 // every subscription's channel is closed, and all further operations
 // return ErrClosed. Close is idempotent.
 func (s *Scheduler) Close() error {
@@ -504,17 +551,17 @@ func (s *Scheduler) Close() error {
 	}
 	s.closed = true
 	close(s.done)
-	s.pending.Release()
-	s.pending = nil
+	s.inbox.Release()
+	s.inbox = nil
 	s.mu.Unlock()
 
-	// The snapshot scratch is only touched under stepMu; taking it here
+	// The demand matrix is only touched under stepMu; taking it here
 	// fences out any in-flight Step before recycling. The algorithm's
 	// own teardown (the frame schedulers' compute-ahead worker) happens
 	// under the same fence, after the last epoch that could touch it.
 	s.stepMu.Lock()
-	s.snap.Release()
-	s.snap = nil
+	s.cur.Release()
+	s.cur = nil
 	if c, ok := s.alg.(interface{ Close() }); ok {
 		c.Close()
 	}

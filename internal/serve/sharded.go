@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"hybridsched/internal/runner"
 	"hybridsched/internal/trace"
@@ -89,9 +91,36 @@ func (sh *Sharded) Step() ([]Frame, error) {
 	})
 }
 
-// Done is closed when the service is closed — the select-able companion
-// to ErrClosed for wall-clock loops.
-func (sh *Sharded) Done() <-chan struct{} { return sh.done }
+// tick runs one epoch on every shard for Run, where nobody reads the
+// frames: it neither clones matchings nor builds a []Frame (subscribers
+// still get their published clones). Every shard steps even when one
+// fails, and the failure with the lowest shard index is returned, as in
+// Step. With one shard or one worker the shards step serially on the
+// calling goroutine, allocation-free.
+func (sh *Sharded) tick() error {
+	if len(sh.shards) == 1 || sh.pool.Workers() <= 1 {
+		var first error
+		for _, s := range sh.shards {
+			if _, err := s.Step(); err != nil && first == nil {
+				first = err
+			}
+		}
+		return first
+	}
+	_, err := runner.Map(sh.pool, len(sh.shards), func(i int) (struct{}, error) {
+		_, err := sh.shards[i].Step()
+		return struct{}{}, err
+	})
+	return err
+}
+
+// Run steps every shard once per interval tick of wall-clock time until
+// ctx is canceled or the service is closed. It returns ctx.Err() on
+// cancellation and nil when stopped by Close (which it notices
+// immediately, not at the next tick). Frames go to subscribers only.
+func (sh *Sharded) Run(ctx context.Context, interval time.Duration) error {
+	return runTicks(ctx, interval, sh.done, sh.tick)
+}
 
 // Stats returns per-shard summaries in shard order.
 func (sh *Sharded) Stats() []Stats {

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"hybridsched/internal/trace"
 	"hybridsched/internal/units"
@@ -32,21 +33,26 @@ const (
 )
 
 // snapshotRecords serializes one shard's state. Callers hold no locks;
-// the scheduler locks internally and the result is a consistent cut.
+// the scheduler locks internally (stepMu, then mu, so no epoch is in
+// flight) and folds the inbox first, so the result is a consistent cut
+// of everything offered and not yet served.
 func (s *Scheduler) snapshotRecords(shard int, out []trace.Record) ([]trace.Record, error) {
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
+	s.inbox.FoldInto(s.cur)
 	out = append(out, trace.Record{
 		Time:  units.Time(s.epochs.Load()),
 		Flow:  uint64(shard),
 		Class: snapClassEpoch,
 	})
-	n := s.pending.N()
+	n := s.cur.N()
 	for i := 0; i < n; i++ {
-		row := s.pending.Row(i)
+		row := s.cur.Row(i)
 		for k := 0; k < row.Len(); k++ {
 			j, v := row.Entry(k)
 			for v > 0 {
@@ -69,8 +75,8 @@ func (s *Scheduler) snapshotRecords(shard int, out []trace.Record) ([]trace.Reco
 }
 
 // Snapshot writes the scheduler's state to w as a complete HSTR trace.
-// The cut is consistent (taken under the demand lock) and canonical: two
-// snapshots of identical state are byte-identical.
+// The cut is consistent (taken between epochs, under the demand lock) and
+// canonical: two snapshots of identical state are byte-identical.
 func (s *Scheduler) Snapshot(w io.Writer) error {
 	recs, err := s.snapshotRecords(0, nil)
 	if err != nil {
@@ -94,9 +100,12 @@ func (s *Scheduler) Restore(r io.Reader) error {
 }
 
 // restoreShard applies the records labeled with the given shard index.
+// A checkpoint whose demand sums past math.MaxInt64 bits is rejected with
+// an error wrapping ErrOverflow.
 func (s *Scheduler) restoreShard(recs []trace.Record, shard int) error {
 	var epoch uint64
 	var sawMarker bool
+	var total int64
 	for i, r := range recs {
 		if r.Flow != uint64(shard) {
 			continue
@@ -110,6 +119,11 @@ func (s *Scheduler) restoreShard(recs []trace.Record, shard int) error {
 				return fmt.Errorf("serve: restore: record %d ports (%d->%d) outside the %d-port fabric",
 					i, r.Src, r.Dst, s.cfg.Ports)
 			}
+			if int64(r.Size) > math.MaxInt64-total {
+				return fmt.Errorf("%w: restore: record %d of %d bits on %d already restored",
+					ErrOverflow, i, r.Size, total)
+			}
+			total += int64(r.Size)
 		default:
 			return fmt.Errorf("serve: restore: record %d has unknown class %d", i, r.Class)
 		}
@@ -117,24 +131,26 @@ func (s *Scheduler) restoreShard(recs []trace.Record, shard int) error {
 	if !sawMarker {
 		return fmt.Errorf("serve: restore: no epoch marker for shard %d", shard)
 	}
+	s.stepMu.Lock()
+	defer s.stepMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.pending.Reset()
-	var total int64
+	s.inbox.Reset()
+	s.cur.Reset()
 	for _, r := range recs {
 		if r.Flow != uint64(shard) || r.Class != snapClassDemand {
 			continue
 		}
-		s.pending.Add(int(r.Src), int(r.Dst), int64(r.Size))
-		total += int64(r.Size)
+		s.cur.Add(int(r.Src), int(r.Dst), int64(r.Size))
 	}
 	s.alg.Reset()
 	s.epochs.Store(epoch)
 	s.idle.Store(0)
-	s.offered.Store(total)
-	s.served.Store(0)
+	s.offered = total
+	s.served = 0
+	s.backlog = total
 	return nil
 }

@@ -2,7 +2,6 @@ package hybridsched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -47,6 +46,12 @@ const (
 
 // ErrServiceClosed is returned by operations on a closed Service.
 var ErrServiceClosed = serve.ErrClosed
+
+// ErrServiceOverflow is wrapped by the rejection of an offer, a record
+// batch or a checkpoint that would push a shard's pending backlog past
+// math.MaxInt64 bits. Rejected demand is not offered at all: the books
+// (OfferedBits = ServedBits + BacklogBits) stay exact.
+var ErrServiceOverflow = serve.ErrOverflow
 
 // DefaultServiceSlotBits is the demand served per matched pair per epoch
 // when ServiceConfig.SlotBits is zero: one 1500-byte frame.
@@ -205,28 +210,14 @@ func (s *Service) Step() ([]ServiceFrame, error) {
 // Run steps every shard once per interval tick of wall-clock time until
 // ctx is canceled or the service is closed. It returns ctx.Err() on
 // cancellation and nil when stopped by Close (which it notices
-// immediately, not at the next tick).
+// immediately, not at the next tick). Frames reach subscribers only: Run
+// builds no caller-owned frames, so with one shard or one worker and no
+// subscribers a tick is allocation-free.
 func (s *Service) Run(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		return fmt.Errorf("hybridsched: Run interval must be positive, have %v", interval)
 	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.sh.Done():
-			return nil
-		case <-tick.C:
-			if _, err := s.Step(); err != nil {
-				if errors.Is(err, ErrServiceClosed) {
-					return nil
-				}
-				return err
-			}
-		}
-	}
+	return s.sh.Run(ctx, interval)
 }
 
 // Subscribe opens a bounded frame stream from one shard. The service

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -221,5 +222,22 @@ func TestServiceRunAndClose(t *testing.T) {
 	}
 	if err := s.Run(context.Background(), 0); err == nil {
 		t.Fatal("non-positive interval accepted")
+	}
+}
+
+// TestServiceOfferOverflow: the public API rejects an offer that would
+// wrap the backlog with ErrServiceOverflow, and the books stay exact.
+func TestServiceOfferOverflow(t *testing.T) {
+	s := newTestService(t, ServiceConfig{Ports: 4, Algorithm: "islip"})
+	const half = Size(math.MaxInt64/2 + 1)
+	if err := s.Offer(0, 1, half); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Offer(0, 1, half); !errors.Is(err, ErrServiceOverflow) {
+		t.Fatalf("second Offer = %v, want ErrServiceOverflow", err)
+	}
+	st := s.Stats()[0]
+	if st.OfferedBits != int64(half) || st.BacklogBits != int64(half) {
+		t.Fatalf("offered %d backlog %d, want both %d", st.OfferedBits, st.BacklogBits, int64(half))
 	}
 }
