@@ -37,10 +37,12 @@ fmt-check:
 # sampler benchmark the flow-size draw, the trace-replay benchmark the
 # capture/replay injection path, the matching benchmarks
 # (BenchmarkMatch*, at up to 512 ports) the scheduling core's
-# nonzero-iteration hot path, and the serve benchmarks the online
-# service's allocation-free epoch loop and its per-offer ingest cost.
+# nonzero-iteration hot path, the batch-scenario benchmark
+# (BenchmarkScenarioRun, 64 and 512 ports) whole simulator runs, and the
+# serve benchmarks the online service's allocation-free epoch loop and
+# its per-offer ingest cost.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEventQueue|BenchmarkObserverStream|BenchmarkEmpiricalSampler|BenchmarkTraceReplay|BenchmarkMatch|BenchmarkServiceEpoch' -benchtime 0.1s .
+	$(GO) test -run '^$$' -bench 'BenchmarkEventQueue|BenchmarkObserverStream|BenchmarkEmpiricalSampler|BenchmarkTraceReplay|BenchmarkMatch|BenchmarkServiceEpoch|BenchmarkScenarioRun' -benchtime 0.1s .
 	$(GO) test -run '^$$' -bench 'BenchmarkServeEpoch|BenchmarkServeOffer' -benchtime 0.1s ./internal/serve
 
 # bench-json records the scheduling-core performance trajectory: it runs

@@ -10,7 +10,9 @@ package hybridsched
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"hybridsched/experiments"
 	"hybridsched/internal/demand"
@@ -429,6 +431,54 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(records)), "pkts/op")
+}
+
+// BenchmarkScenarioRun is the batch-scenario rung of the performance
+// ladder: one whole Scenario.Run per op in the shape of perfbench's
+// batch_sim workload (islip, hardware timing, pipelined, WebSearch flows
+// at load 0.5, an observer sampling every scheduler cycle), with a short
+// span. It reports simulated time per wall millisecond and discrete
+// events per op, so a kernel change shows as both speed and work.
+func BenchmarkScenarioRun(b *testing.B) {
+	for _, ports := range []int{64, 512} {
+		b.Run(fmt.Sprintf("ports=%d", ports), func(b *testing.B) {
+			sc, err := NewScenario(
+				WithPorts(ports),
+				WithLineRate(10*Gbps),
+				WithLinkDelay(500*Nanosecond),
+				WithSlot(10*Microsecond),
+				WithReconfigTime(Microsecond),
+				WithAlgorithm("islip"),
+				WithTiming(DefaultHardware()),
+				WithPipelined(true),
+				WithLoad(0.5),
+				WithPattern(Uniform{}),
+				WithProcess(FlowArrivals),
+				WithFlowSizes(WebSearch()),
+				WithSeed(1),
+				WithDuration(500*Microsecond),
+				WithObserver(10*Microsecond, func(Sample) {}),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var simulated Duration
+			var events uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, f, err := sc.RunWithFabric()
+				if err != nil {
+					b.Fatal(err)
+				}
+				simulated += m.Elapsed
+				events += f.Sim().Processed()
+			}
+			wallMs := float64(b.Elapsed()) / float64(time.Millisecond)
+			b.ReportMetric(float64(simulated)/float64(Microsecond)/wallMs, "sim_us/wall_ms")
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
+	}
 }
 
 // BenchmarkFabricEndToEnd measures whole-simulator throughput: simulated

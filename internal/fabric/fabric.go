@@ -146,8 +146,8 @@ type Fabric struct {
 	est   demand.Estimator
 	loop  *sched.Loop
 
-	nicBusy []units.Time // fast-regime host uplink pacing
-	residue []int32      // shuntResidue scratch: nonempty VOQ indices
+	uplink  *host.Uplink[arrival] // fast-regime host uplinks
+	residue []int32               // shuntResidue scratch: nonempty VOQ indices
 
 	injected      stats.Counter
 	injectedBits  stats.Counter
@@ -174,11 +174,10 @@ func New(s *sim.Simulator, cfg Config) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{
-		sim:     s,
-		cfg:     cfg,
-		nicBusy: make([]units.Time, cfg.Ports),
-	}
+	f := &Fabric{sim: s, cfg: cfg}
+	f.uplink = host.NewUplink(s, cfg.Ports, cfg.LineRate, cfg.LinkDelay, func(a arrival) {
+		f.arriveAtSwitch(a.p, a.epsBound)
+	})
 
 	def := classify.Action{Hint: classify.Auto}
 	f.table = classify.New(def)
@@ -196,7 +195,7 @@ func New(s *sim.Simulator, cfg Config) (*Fabric, error) {
 		NICRate:    cfg.LineRate,
 		LinkDelay:  cfg.LinkDelay,
 		QueueLimit: cfg.HostQueueLimit,
-	}, nil)
+	}, nil, func(p *packet.Packet) { f.arriveAtSwitch(p, false) })
 
 	f.ocsSw = ocs.New(s, ocs.Config{
 		Ports:        cfg.Ports,
@@ -273,14 +272,13 @@ func (f *Fabric) Inject(p *packet.Packet) {
 	}
 	// Fast regime (or EPS-bound traffic in either regime): forward over
 	// the access link immediately.
-	start := f.nicBusy[p.Src]
-	if start < now {
-		start = now
-	}
-	start = start.Add(units.TransmitTime(p.Size, f.cfg.LineRate))
-	f.nicBusy[p.Src] = start
-	arrive := start.Add(f.cfg.LinkDelay)
-	f.sim.At(arrive, func() { f.arriveAtSwitch(p, epsBound) })
+	f.uplink.Send(p.Src, p.Size, arrival{p, epsBound})
+}
+
+// arrival is a packet in flight on a fast-regime host uplink.
+type arrival struct {
+	p        *packet.Packet
+	epsBound bool
 }
 
 // observeLater reports new demand to the estimator after the request
@@ -355,9 +353,7 @@ func (f *Fabric) grant(m match.Matching, window units.Duration) {
 			if remaining > 0 {
 				// The grant travels to the host before data can flow.
 				f.sim.Schedule(f.cfg.LinkDelay, func() {
-					f.hosts.Release(in, out, remaining, func(p *packet.Packet) {
-						f.arriveAtSwitch(p, false)
-					})
+					f.hosts.Release(in, out, remaining)
 				})
 			}
 		}
@@ -553,15 +549,14 @@ type Sample struct {
 // observers attached is bit-identical to the same run without them.
 func (f *Fabric) Sample() Sample {
 	now := f.sim.Now()
-	lat := f.latAll.Summarize()
 	s := Sample{
 		Time:             now,
 		Injected:         f.injected.Value(),
 		Delivered:        f.delivered.Value(),
 		SwitchQueuedBits: f.voqs.TotalBits(),
 		HostQueuedBits:   f.hosts.TotalBits(),
-		LatencyP50:       units.Duration(lat.P50),
-		LatencyP99:       units.Duration(lat.P99),
+		LatencyP50:       units.Duration(f.latAll.Percentile(50)),
+		LatencyP99:       units.Duration(f.latAll.Percentile(99)),
 		OCSDutyCycle:     f.ocsSw.DutyCycle(units.Duration(now)),
 		SchedCycles:      f.loop.Cycles(),
 		GrantedPairs:     f.loop.GrantedPairs(),

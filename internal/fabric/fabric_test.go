@@ -289,3 +289,46 @@ func TestThroughputMetric(t *testing.T) {
 		t.Fatal("zero injected should be 0")
 	}
 }
+
+// TestSampleLatencyMatchesSummary: Sample reads only the two percentiles
+// it reports, and they must equal the full Summarize's at every point of a
+// run, from before the first delivery to the drain.
+func TestSampleLatencyMatchesSummary(t *testing.T) {
+	cfg := fastConfig()
+	s := sim.New()
+	f, err := New(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := traffic.New(traffic.Config{
+		Ports:     cfg.Ports,
+		LineRate:  cfg.LineRate,
+		Load:      0.6,
+		Pattern:   traffic.Uniform{},
+		Process:   traffic.FlowArrivals,
+		FlowSizes: traffic.WebSearch(),
+		Until:     units.Time(units.Millisecond),
+		Seed:      3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	gen.Start(s, f.Inject)
+	checked := 0
+	for at := units.Time(0); at <= units.Time(1500*units.Microsecond); at = at.Add(50 * units.Microsecond) {
+		s.RunUntil(at)
+		got, want := f.Sample(), f.latAll.Summarize()
+		if got.LatencyP50 != units.Duration(want.P50) || got.LatencyP99 != units.Duration(want.P99) {
+			t.Fatalf("at %v: Sample p50/p99 %v/%v, Summarize %v/%v",
+				at, got.LatencyP50, got.LatencyP99, units.Duration(want.P50), units.Duration(want.P99))
+		}
+		if want.Count > 0 {
+			checked++
+		}
+	}
+	f.Stop()
+	if checked < 10 {
+		t.Fatalf("only %d checkpoints saw deliveries", checked)
+	}
+}

@@ -25,15 +25,15 @@ type Config struct {
 // Bank models all hosts attached to one switch: host i holds a queue per
 // destination j.
 type Bank struct {
-	sim     *sim.Simulator
-	cfg     Config
-	queues  *voq.Bank
-	nicBusy []units.Time
+	sim    *sim.Simulator
+	queues *voq.Bank
+	nic    *Uplink[*packet.Packet]
 }
 
-// New returns an idle host bank. notify (optional) fires on queue
-// empty/non-empty transitions — the host-side scheduling requests.
-func New(s *sim.Simulator, cfg Config, notify voq.Notify) *Bank {
+// New returns an idle host bank whose released packets reach the switch
+// through arrive. notify (optional) fires on queue empty/non-empty
+// transitions — the host-side scheduling requests.
+func New(s *sim.Simulator, cfg Config, notify voq.Notify, arrive func(p *packet.Packet)) *Bank {
 	if cfg.Ports <= 0 {
 		panic("host: Ports must be positive")
 	}
@@ -41,10 +41,9 @@ func New(s *sim.Simulator, cfg Config, notify voq.Notify) *Bank {
 		panic("host: NICRate must be positive")
 	}
 	return &Bank{
-		sim:     s,
-		cfg:     cfg,
-		queues:  voq.NewBank(cfg.Ports, cfg.QueueLimit, notify),
-		nicBusy: make([]units.Time, cfg.Ports),
+		sim:    s,
+		queues: voq.NewBank(cfg.Ports, cfg.QueueLimit, notify),
+		nic:    NewUplink(s, cfg.Ports, cfg.NICRate, cfg.LinkDelay, arrive),
 	}
 }
 
@@ -74,26 +73,55 @@ func (b *Bank) Queues() *voq.Bank { return b.queues }
 // Release dequeues up to budget bits from host in's queue to out and
 // transmits them over the host uplink: each packet serializes at NICRate
 // (the NIC is shared across destinations, so releases on one host are
-// serialized) and arrives at the switch one LinkDelay later via arrive.
-// It returns the number of bits released.
+// serialized) and reaches the switch one LinkDelay later through the
+// bank's arrive callback. It returns the number of bits released.
 //
 // Release is called when the grant reaches the host; the caller is
 // responsible for having delayed it by the grant propagation time.
-func (b *Bank) Release(in, out packet.Port, budget units.Size, arrive func(p *packet.Packet)) units.Size {
-	now := b.sim.Now()
-	pkts := b.queues.DequeueUpTo(now, in, out, budget)
+func (b *Bank) Release(in, out packet.Port, budget units.Size) units.Size {
 	var released units.Size
-	start := b.nicBusy[in]
-	if start < now {
-		start = now
-	}
-	for _, p := range pkts {
-		tx := units.TransmitTime(p.Size, b.cfg.NICRate)
-		start = start.Add(tx)
+	for _, p := range b.queues.DequeueUpTo(b.sim.Now(), in, out, budget) {
+		b.nic.Send(in, p.Size, p)
 		released += p.Size
-		p := p
-		b.sim.At(start.Add(b.cfg.LinkDelay), func() { arrive(p) })
 	}
-	b.nicBusy[in] = start
 	return released
+}
+
+// Uplink models the hosts' access links to the switch: each host's NIC
+// serializes what it sends back to back at the link rate, and each packet
+// reaches the switch one link delay after its last bit leaves, in the
+// order sent. A host's packets in flight share one sim.Lane, so a long
+// backlog costs the event queue one entry, not one per packet. T is what
+// the arrival callback receives.
+type Uplink[T any] struct {
+	sim    *sim.Simulator
+	rate   units.BitRate
+	delay  units.Duration
+	arrive func(T)
+	busy   []units.Time   // when each NIC finishes what it has queued
+	lanes  []*sim.Lane[T] // created on a host's first send
+}
+
+// NewUplink returns idle uplinks for ports hosts on s.
+func NewUplink[T any](s *sim.Simulator, ports int, rate units.BitRate, delay units.Duration, arrive func(T)) *Uplink[T] {
+	return &Uplink[T]{
+		sim:    s,
+		rate:   rate,
+		delay:  delay,
+		arrive: arrive,
+		busy:   make([]units.Time, ports),
+		lanes:  make([]*sim.Lane[T], ports),
+	}
+}
+
+// Send transmits a packet of the given size from host src after
+// everything src has already sent; v reaches the arrival callback when
+// the packet lands at the switch.
+func (u *Uplink[T]) Send(src packet.Port, size units.Size, v T) {
+	start := max(u.busy[src], u.sim.Now())
+	u.busy[src] = start.Add(units.TransmitTime(size, u.rate))
+	if u.lanes[src] == nil {
+		u.lanes[src] = sim.NewLane(u.sim, u.arrive)
+	}
+	u.lanes[src].At(u.busy[src].Add(u.delay), v)
 }

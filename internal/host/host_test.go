@@ -8,19 +8,28 @@ import (
 	"hybridsched/internal/units"
 )
 
-func testBank(t *testing.T) (*sim.Simulator, *Bank) {
+// landing is one released packet reaching the switch.
+type landing struct {
+	at units.Time
+	p  *packet.Packet
+}
+
+// testBank returns a 4-port bank and the log of its arrivals at the
+// switch, in arrival order.
+func testBank(t *testing.T) (*sim.Simulator, *Bank, *[]landing) {
 	t.Helper()
 	s := sim.New()
+	var log []landing
 	b := New(s, Config{
 		Ports:     4,
 		NICRate:   10 * units.Gbps,
 		LinkDelay: units.Microsecond,
-	}, nil)
-	return s, b
+	}, nil, func(p *packet.Packet) { log = append(log, landing{s.Now(), p}) })
+	return s, b, &log
 }
 
 func TestEnqueueAndBacklog(t *testing.T) {
-	_, b := testBank(t)
+	_, b, _ := testBank(t)
 	p := &packet.Packet{Src: 1, Dst: 2, Size: 1500 * units.Byte}
 	if !b.Enqueue(0, p) {
 		t.Fatal("enqueue failed")
@@ -34,31 +43,26 @@ func TestEnqueueAndBacklog(t *testing.T) {
 }
 
 func TestReleasePacingAndDelay(t *testing.T) {
-	s, b := testBank(t)
+	s, b, arrivals := testBank(t)
 	for i := 0; i < 3; i++ {
 		b.Enqueue(0, &packet.Packet{ID: uint64(i), Src: 0, Dst: 1, Size: 1500 * units.Byte})
 	}
-	var arrivals []units.Time
-	var ids []uint64
-	released := b.Release(0, 1, 10*1500*units.Byte, func(p *packet.Packet) {
-		arrivals = append(arrivals, s.Now())
-		ids = append(ids, p.ID)
-	})
+	released := b.Release(0, 1, 10*1500*units.Byte)
 	if released != 3*1500*units.Byte {
 		t.Fatalf("released %v", released)
 	}
 	s.Run()
-	if len(arrivals) != 3 {
-		t.Fatalf("arrivals = %d", len(arrivals))
+	if len(*arrivals) != 3 {
+		t.Fatalf("arrivals = %d", len(*arrivals))
 	}
 	// 1500B at 10Gbps = 1.2us tx; arrivals at 1.2+1, 2.4+1, 3.6+1 us.
 	tx := 1200 * units.Nanosecond
-	for i, a := range arrivals {
+	for i, a := range *arrivals {
 		want := units.Time(units.Duration(i+1)*tx + units.Microsecond)
-		if a != want {
-			t.Fatalf("arrival %d at %v, want %v", i, a, want)
+		if a.at != want {
+			t.Fatalf("arrival %d at %v, want %v", i, a.at, want)
 		}
-		if ids[i] != uint64(i) {
+		if a.p.ID != uint64(i) {
 			t.Fatal("order broken")
 		}
 	}
@@ -68,11 +72,11 @@ func TestReleasePacingAndDelay(t *testing.T) {
 }
 
 func TestReleaseRespectsBudget(t *testing.T) {
-	s, b := testBank(t)
+	s, b, _ := testBank(t)
 	for i := 0; i < 5; i++ {
 		b.Enqueue(0, &packet.Packet{Src: 0, Dst: 1, Size: 1500 * units.Byte})
 	}
-	released := b.Release(0, 1, 2*1500*units.Byte, func(*packet.Packet) {})
+	released := b.Release(0, 1, 2*1500*units.Byte)
 	if released != 2*1500*units.Byte {
 		t.Fatalf("released %v, want 2 packets", released)
 	}
@@ -83,20 +87,20 @@ func TestReleaseRespectsBudget(t *testing.T) {
 }
 
 func TestNICSharedAcrossDestinations(t *testing.T) {
-	s, b := testBank(t)
+	s, b, log := testBank(t)
 	b.Enqueue(0, &packet.Packet{Src: 0, Dst: 1, Size: 1500 * units.Byte})
 	b.Enqueue(0, &packet.Packet{Src: 0, Dst: 2, Size: 1500 * units.Byte})
-	var arrivals []units.Time
-	b.Release(0, 1, units.Gigabyte, func(*packet.Packet) { arrivals = append(arrivals, s.Now()) })
-	b.Release(0, 2, units.Gigabyte, func(*packet.Packet) { arrivals = append(arrivals, s.Now()) })
+	b.Release(0, 1, units.Gigabyte)
+	b.Release(0, 2, units.Gigabyte)
 	s.Run()
+	arrivals := *log
 	if len(arrivals) != 2 {
 		t.Fatalf("arrivals = %d", len(arrivals))
 	}
 	// Second release must queue behind the first on the shared NIC:
 	// arrivals 1.2us apart, not simultaneous.
-	if arrivals[1].Sub(arrivals[0]) != 1200*units.Nanosecond {
-		t.Fatalf("NIC pacing broken: %v vs %v", arrivals[0], arrivals[1])
+	if arrivals[1].at.Sub(arrivals[0].at) != 1200*units.Nanosecond {
+		t.Fatalf("NIC pacing broken: %v vs %v", arrivals[0].at, arrivals[1].at)
 	}
 }
 
@@ -105,7 +109,7 @@ func TestQueueLimitDrops(t *testing.T) {
 	b := New(s, Config{
 		Ports: 2, NICRate: 10 * units.Gbps,
 		QueueLimit: 2000 * units.Byte,
-	}, nil)
+	}, nil, func(*packet.Packet) {})
 	b.Enqueue(0, &packet.Packet{Src: 0, Dst: 1, Size: 1500 * units.Byte})
 	if b.Enqueue(0, &packet.Packet{Src: 0, Dst: 1, Size: 1500 * units.Byte}) {
 		t.Fatal("should tail-drop")
@@ -123,8 +127,37 @@ func TestValidation(t *testing.T) {
 	} {
 		func() {
 			defer func() { recover() }()
-			New(s, cfg, nil)
+			New(s, cfg, nil, func(*packet.Packet) {})
 			t.Errorf("expected panic for %+v", cfg)
 		}()
+	}
+}
+
+// TestUplinkPacesPerHost: each host's sends serialize back to back on its
+// own NIC and land one link delay later, in order; hosts do not share a
+// NIC, and a send after an idle gap starts at the current time.
+func TestUplinkPacesPerHost(t *testing.T) {
+	s := sim.New()
+	type got struct {
+		at units.Time
+		v  string
+	}
+	var log []got
+	u := NewUplink(s, 3, 10*units.Gbps, units.Microsecond, func(v string) { log = append(log, got{s.Now(), v}) })
+	u.Send(1, 1500*units.Byte, "a1")
+	u.Send(1, 1500*units.Byte, "a2")
+	u.Send(2, 1500*units.Byte, "b1")
+	s.RunUntil(units.Time(10 * units.Microsecond))
+	u.Send(1, 1500*units.Byte, "a3")
+	s.Run()
+	ns := func(n int) units.Time { return units.Time(units.Duration(n) * units.Nanosecond) }
+	want := []got{{ns(2200), "a1"}, {ns(2200), "b1"}, {ns(3400), "a2"}, {ns(12200), "a3"}}
+	if len(log) != len(want) {
+		t.Fatalf("arrivals %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("arrivals %v, want %v", log, want)
+		}
 	}
 }

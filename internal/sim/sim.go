@@ -1,5 +1,5 @@
 // Package sim is the discrete-event simulation kernel: a picosecond clock
-// and a binary-heap event queue with deterministic FIFO tie-breaking.
+// and an event queue with deterministic FIFO tie-breaking.
 //
 // The kernel is deliberately single-threaded. Hybrid-switch scheduling is a
 // tightly coupled feedback loop (VOQ state -> demand -> schedule -> grants
@@ -7,79 +7,71 @@
 // reproducibility. Parallelism belongs one level up, across independent
 // simulation configurations — see internal/runner.
 //
-// Event storage is recycled through a per-simulator freelist, so the
-// Schedule/Step hot path performs zero amortized heap allocations. Handles
-// are generation-stamped: a handle to an event that has fired or been
-// canceled goes stale, and canceling through a stale handle is a harmless
-// no-op even after the underlying storage has been reused.
+// The queue is a 4-ary min-heap of small value entries ordered by (time,
+// sequence number); sifting compares contiguous memory and makes no
+// interface calls. Callbacks live in an id-indexed slab recycled through a
+// freelist, so the Schedule/Step hot path performs zero amortized heap
+// allocations. Handles are generation-stamped: a handle to an event that
+// has fired or been canceled goes stale, and canceling through a stale
+// handle is a harmless no-op even after its slab slot has been reused.
+//
+// A Lane is a FIFO of events whose times never decrease, such as the
+// packets in flight on one link. Only its head sits in the heap, under the
+// head's own (time, sequence number), so the fire order is exactly the
+// order the same events would have as separate At calls, while a link with
+// thousands of packets in flight costs the heap one entry.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"hybridsched/internal/units"
 )
 
-// node is the queued representation of a scheduled callback. Nodes are
-// recycled through Simulator.freelist; gen increments on every release so
-// stale Event handles can never touch a reused node.
-type node struct {
-	when  units.Time
-	seq   uint64
-	gen   uint64
-	fn    func()
-	index int // heap index, -1 once popped
+// entry is one queued event in the heap. Sequence numbers are unique, so
+// (when, seq) is a total order and any correct heap pops the same order.
+type entry struct {
+	when units.Time
+	seq  uint64
+	id   int32 // slab slot holding the callback
+}
+
+func (a entry) before(b entry) bool {
+	return a.when < b.when || (a.when == b.when && a.seq < b.seq)
+}
+
+// slot is the slab storage behind an entry. Plain-event slots return to
+// the freelist when their event fires or is canceled, and gen increments
+// so stale Event handles can never touch a reused slot. A lane owns its
+// slot for life.
+type slot struct {
+	fn   func()
+	gen  uint64
+	lane bool
 }
 
 // Event is a handle to a scheduled callback, returned by Schedule and At
 // and consumed by Cancel. It is a small value: copy it freely. The zero
 // Event is valid and refers to nothing.
 type Event struct {
-	n    *node
-	gen  uint64
+	id   int32
+	gen  uint64 // slot generations start at 1, so the zero Event is stale
 	when units.Time
 }
 
 // When returns the time the event was scheduled to fire.
 func (e Event) When() units.Time { return e.when }
 
-type eventHeap []*node
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	n := x.(*node)
-	n.index = len(*h)
-	*h = append(*h, n)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	k := len(old)
-	n := old[k-1]
-	old[k-1] = nil
-	n.index = -1
-	*h = old[:k-1]
-	return n
-}
-
 // Simulator owns the simulated clock and event queue. The zero value is a
 // simulator at time zero, ready to use.
 type Simulator struct {
 	now       units.Time
-	queue     eventHeap
-	freelist  []*node
+	heap      []entry
+	slots     []slot
+	pos       []int32 // heap index of each queued slot id
+	free      []int32 // ids of released plain-event slots
 	seq       uint64
+	pending   int // live events: plain ones plus every lane item
 	processed uint64
 	stopped   bool
 }
@@ -90,30 +82,101 @@ func New() *Simulator { return &Simulator{} }
 // Now returns the current simulated time.
 func (s *Simulator) Now() units.Time { return s.now }
 
-// Processed returns the number of events executed so far.
+// Processed returns the number of events executed so far. Each lane item
+// counts as one event.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending returns the number of live events waiting in the queue. Canceled
-// events are removed eagerly and are never counted.
-func (s *Simulator) Pending() int { return len(s.queue) }
+// Pending returns the number of live events waiting in the queue, each
+// lane item counted as one. Canceled events are removed eagerly and are
+// never counted.
+func (s *Simulator) Pending() int { return s.pending }
 
-// alloc takes a node from the freelist, or heap-allocates when empty.
-func (s *Simulator) alloc() *node {
-	if k := len(s.freelist); k > 0 {
-		n := s.freelist[k-1]
-		s.freelist[k-1] = nil
-		s.freelist = s.freelist[:k-1]
-		return n
+// alloc takes a slab slot for fn from the freelist, or grows the slab.
+func (s *Simulator) alloc(fn func()) int32 {
+	if k := len(s.free); k > 0 {
+		id := s.free[k-1]
+		s.free = s.free[:k-1]
+		s.slots[id].fn = fn
+		return id
 	}
-	return &node{}
+	id := int32(len(s.slots))
+	s.slots = append(s.slots, slot{fn: fn, gen: 1})
+	s.pos = append(s.pos, 0)
+	return id
 }
 
-// free retires a node to the freelist, invalidating every outstanding
-// handle to it by bumping the generation.
-func (s *Simulator) free(n *node) {
-	n.fn = nil
-	n.gen++
-	s.freelist = append(s.freelist, n)
+// release retires a plain-event slot to the freelist, invalidating every
+// outstanding handle to it by bumping the generation.
+func (s *Simulator) release(id int32) {
+	sl := &s.slots[id]
+	sl.fn = nil
+	sl.gen++
+	s.free = append(s.free, id)
+}
+
+// push queues e.
+func (s *Simulator) push(e entry) {
+	s.heap = append(s.heap, e)
+	s.up(len(s.heap)-1, e)
+}
+
+// up moves e, destined for index i, toward the root until its parent is
+// earlier.
+func (s *Simulator) up(i int, e entry) {
+	h := s.heap
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		s.pos[h[i].id] = int32(i)
+		i = p
+	}
+	h[i] = e
+	s.pos[e.id] = int32(i)
+}
+
+// down moves e, destined for index i, toward the leaves until no child is
+// earlier. It returns e's final index.
+func (s *Simulator) down(i int, e entry) int {
+	h := s.heap
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for k, end := c+1, min(c+4, n); k < end; k++ {
+			if h[k].before(h[m]) {
+				m = k
+			}
+		}
+		if !h[m].before(e) {
+			break
+		}
+		h[i] = h[m]
+		s.pos[h[i].id] = int32(i)
+		i = m
+	}
+	h[i] = e
+	s.pos[e.id] = int32(i)
+	return i
+}
+
+// remove takes the entry at heap index i out of the queue.
+func (s *Simulator) remove(i int) entry {
+	h := s.heap
+	e := h[i]
+	last := len(h) - 1
+	s.heap = h[:last]
+	if i < last {
+		if moved := h[last]; s.down(i, moved) == i && i > 0 {
+			s.up(i, moved)
+		}
+	}
+	return e
 }
 
 // Schedule runs fn after delay d. A non-positive delay schedules fn at the
@@ -135,13 +198,11 @@ func (s *Simulator) At(t units.Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	n := s.alloc()
-	n.when = t
-	n.seq = s.seq
-	n.fn = fn
+	id := s.alloc(fn)
+	s.push(entry{when: t, seq: s.seq, id: id})
 	s.seq++
-	heap.Push(&s.queue, n)
-	return Event{n: n, gen: n.gen, when: t}
+	s.pending++
+	return Event{id: id, gen: s.slots[id].gen, when: t}
 }
 
 // Cancel prevents e from firing and removes it from the queue immediately
@@ -150,14 +211,12 @@ func (s *Simulator) At(t units.Time, fn func()) Event {
 // event fires or is canceled, so a late Cancel can never hit an event that
 // reused the same storage.
 func (s *Simulator) Cancel(e Event) {
-	n := e.n
-	if n == nil || n.gen != e.gen {
+	if int(e.id) >= len(s.slots) || s.slots[e.id].gen != e.gen {
 		return
 	}
-	if n.index >= 0 {
-		heap.Remove(&s.queue, n.index)
-	}
-	s.free(n)
+	s.remove(int(s.pos[e.id])) // a live plain event is always queued
+	s.release(e.id)
+	s.pending--
 }
 
 // Stop makes the current Run/RunUntil return after the current event
@@ -167,16 +226,21 @@ func (s *Simulator) Stop() { s.stopped = true }
 // Step executes the single earliest pending event. It returns false when
 // the queue is empty.
 func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
+	if len(s.heap) == 0 {
 		return false
 	}
-	n := heap.Pop(&s.queue).(*node)
-	s.now = n.when
-	fn := n.fn
-	// Retire the node before running the callback: the callback may
-	// schedule new events (which reuse it under a fresh generation) or
-	// cancel its own handle (now stale, a no-op).
-	s.free(n)
+	e := s.remove(0)
+	s.now = e.when
+	sl := &s.slots[e.id]
+	fn := sl.fn
+	// Retire a plain event's slot before running the callback: the
+	// callback may schedule new events (which reuse it under a fresh
+	// generation) or cancel its own handle (now stale, a no-op). A lane
+	// keeps its slot; its fire requeues the next item.
+	if !sl.lane {
+		s.release(e.id)
+	}
+	s.pending--
 	s.processed++
 	fn()
 	return true
@@ -194,7 +258,7 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(t units.Time) {
 	s.stopped = false
 	for !s.stopped {
-		if len(s.queue) == 0 || s.queue[0].when > t {
+		if len(s.heap) == 0 || s.heap[0].when > t {
 			break
 		}
 		s.Step()

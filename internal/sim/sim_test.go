@@ -360,7 +360,7 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 	}
 	ran := false
 	_ = second
-	s.queue[0].fn = func() { ran = true }
+	s.slots[s.heap[0].id].fn = func() { ran = true }
 	s.Run()
 	if !ran {
 		t.Fatal("live event did not run after stale cancel")
